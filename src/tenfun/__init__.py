@@ -18,11 +18,10 @@ from .scalar_functions import (
     ScalarFn,
     SethHill,
     StrainMeasureFn,
-    eval_deriv,
     parse_fn_spec,
     seth_hill,
 )
-from .multilinear import BoxProduct, BoxSum, FourthTensor, compose4, contract, dense_components
+from .multilinear import BoxProduct, BoxSum, CoaxialMap, FourthTensor
 from .coefficients import (
     CoeffTable,
     IndexClass,
@@ -36,7 +35,6 @@ from .coefficients import (
 )
 from .derivatives import (
     SpectralDerivative,
-    contract_dirs,
     derivative,
     grad_chain_rule,
     grad_product_rule,
@@ -45,7 +43,6 @@ from .derivatives import (
 )
 from .inverse_gradient import (
     CommutatorSolution,
-    FourthSpectralBasis,
     grad_spectral,
     inverse_grad,
     j_pseudo,
@@ -56,7 +53,6 @@ from .inverse_gradient import (
     log_inverse_integral,
     seth_hill_fractional_inverse,
     seth_hill_sum_form,
-    spectral_basis,
     sylvester_commutator,
     sylvester_power,
 )

@@ -22,13 +22,15 @@ from .coefficients import build_table, coeff_residue, IndexClass
 from .derivatives import derivative, taylor_eval
 from .errors import DomainError, NumericalError, ParseError
 from .inverse_gradient import (
+    _commutator,
     grad_spectral,
     inverse_grad,
+    log_inverse_integral,
     sylvester_commutator,
     sylvester_power,
 )
 from .multilinear import FourthTensor
-from .scalar_functions import ScalarFn, parse_fn_spec
+from .scalar_functions import Log, ScalarFn, parse_fn_spec
 from .spectral import DEFAULT_CLUSTER_TOL, SymTensor, apply_fn, decompose
 
 __all__ = ["JobSpec", "parse_document", "format_document", "run", "main"]
@@ -182,13 +184,19 @@ def job_from_document(doc: dict, overrides: dict | None = None) -> JobSpec:
         if eq not in ("power", "commutator"):
             raise ParseError(f"equation must be 'power' or 'commutator', got {eq!r}")
         job.equation = eq
+    if job.command == "solve" and job.equation == "power" and job.m < 1:
+        raise ParseError(f"the power-sum equation needs m >= 1, got {job.m}")
     if "dense" in doc:
-        job.dense = bool(doc.pop("dense"))
+        raw = doc.pop("dense")
+        dense = {"true": True, "1": True, "false": False, "0": False}.get(_format_value(raw))
+        if dense is None:
+            raise ParseError(f"dense must be true, false, 1 or 0, got {raw!r}")
+        job.dense = dense
     if "tol" in doc:
-        tol = float(doc.pop("tol"))
-        if not (0.0 < tol < 1.0):
-            raise ParseError(f"tol must be in (0, 1), got {tol}")
-        job.cluster_tol = tol
+        tol = doc.pop("tol")
+        if not isinstance(tol, (int, float)) or not 0.0 < tol < 1.0:
+            raise ParseError(f"tol must be a number in (0, 1), got {tol!r}")
+        job.cluster_tol = float(tol)
     if "quad_points" in doc:
         q = doc.pop("quad_points")
         if not isinstance(q, int) or q < 1:
@@ -319,10 +327,9 @@ def _run_checks(job: JobSpec) -> list[tuple[str, object]]:
             results.append(("function_domain", False))
             fa = None
         if fa is not None:
-            commutator = FourthTensor([(1.0, (a.matrix, eye)), (-1.0, (eye, a.matrix))])
             grad = derivative(f, a, 1, cluster_tol=job.cluster_tol).as_fourth_tensor()
-            rhs4 = FourthTensor([(1.0, (fa.matrix, eye)), (-1.0, (eye, fa.matrix))])
-            resid = float(np.abs(commutator.compose(grad).dense() - rhs4.dense()).max())
+            resid = float(np.abs(_commutator(a).compose(grad).dense()
+                                 - _commutator(fa).dense()).max())
             scale = max(1.0, fa.norm())
             results.append(("gradient_commutator_identity", resid <= 1e-10 * scale))
 
@@ -334,19 +341,17 @@ def _run_checks(job: JobSpec) -> list[tuple[str, object]]:
             results.append(("coefficient_paths_agree", worst <= 1e-8))
 
             if f.is_strain_measure and s.positive:
-                comp = grad_spectral(f, s).compose(inverse_grad(f, s))
+                comp = grad_spectral(f, s).as_fourth_tensor().compose(
+                    inverse_grad(f, s).as_fourth_tensor())
                 resid = float(np.abs(comp.dense() - FourthTensor.identity().dense()).max())
                 results.append(("inverse_gradient_composition", resid <= 1e-10))
 
     if s.positive:
-        from .inverse_gradient import log_inverse_integral
-        from .scalar_functions import Log
-
-        quad = log_inverse_integral(a, job.quad_points, cluster_tol=job.cluster_tol)
-        spectral = inverse_grad(Log(), s)
-        resid = float(np.abs(quad.dense() - spectral.dense()).max())
+        quad = log_inverse_integral(a, job.quad_points, cluster_tol=job.cluster_tol).dense()
+        spectral = inverse_grad(Log(), s).as_fourth_tensor().dense()
+        resid = float(np.abs(quad - spectral).max())
         results.append(("log_integral_quadrature",
-                        resid <= 1e-10 * max(1.0, float(np.abs(spectral.dense()).max()))))
+                        resid <= 1e-10 * max(1.0, float(np.abs(spectral).max()))))
 
     entries: list[tuple[str, object]] = [(f"check_{name}", "pass" if ok else "fail")
                                          for name, ok in results]

@@ -11,6 +11,7 @@ difference table is the production path, the others are verification layers.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import Counter
@@ -326,6 +327,23 @@ class CoeffTable:
 
     def get(self, idx: Sequence[int]) -> float:
         return self.values[tuple(sorted(int(i) for i in idx))]
+
+    def expand(self, labels: Sequence[int]) -> np.ndarray:
+        """Array over tuples of eigenvector columns, shape (len(labels),)*(n+1).
+
+        Entry [a0, ..., an] is the value at the sorted cluster labels of the
+        columns.  A sorted multi-index is fixed by how often each label
+        occurs, so it is coded as the sum of (n+2)**label over its positions:
+        the codes of all column tuples form an outer sum, and one gather
+        from the coded table fills the array.
+        """
+        base = self.order + 2
+        weights = base ** np.asarray(labels)
+        codes = functools.reduce(np.add.outer, [weights] * (self.order + 1))
+        coded = np.zeros(base ** self.d)
+        for idx, v in self.values.items():
+            coded[sum(base ** i for i in idx)] = v
+        return coded[codes]
 
     def __len__(self):
         return len(self.values)

@@ -1,14 +1,21 @@
 """Assembly and contraction of spectral derivatives, plus the gradient calculus.
 
-The n-th derivative of f at A, divided by n factorial, is the order-2(n+1)
-tensor obtained by weighting every (n+1)-fold box product of eigenprojectors
-with the coefficient table entry for its label multi-index.  Contractions sum
-over all d**(n+1) index tuples in a fixed order; with d <= 3 and n <= 6 this
-stays tiny.
+The n-th derivative of f at A, divided by n factorial, is fixed by the
+coefficient table: in A's eigenframe V, with X^ = V^t X V and C the table
+spread over eigenvector columns through the cluster labels, its contraction
+with equal directions is
+
+    V (sum over a1..a(n-1) of C[a0, .., an] X^[a0, a1] ... X^[a(n-1), an]) V^t.
+
+Gradients (n = 1) reduce to Hadamard multipliers in the frame (CoaxialMap),
+which is how the product, reciprocal and chain rules are carried out.  The
+same derivative expands into weighted box products of eigenprojectors for
+dense export and verification.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -16,14 +23,13 @@ import numpy as np
 
 from .coefficients import CoeffTable, build_table
 from .errors import DomainError
-from .multilinear import BoxProduct, BoxSum, FourthTensor, _as_matrix
+from .multilinear import BoxProduct, BoxSum, CoaxialMap, FourthTensor, _as_matrix
 from .scalar_functions import ScalarFn
 from .spectral import DEFAULT_CLUSTER_TOL, Spectrum, SymTensor, apply_fn, decompose
 
 __all__ = [
     "SpectralDerivative",
     "derivative",
-    "contract_dirs",
     "taylor_eval",
     "grad_product_rule",
     "grad_reciprocal",
@@ -31,13 +37,32 @@ __all__ = [
 ]
 
 
+def _ordered_chains(hats: list[np.ndarray], counts: list[int]) -> np.ndarray:
+    """Chain arrays X1[a0, a1] X2[a1, a2] ... Xn[a(n-1), an] summed over the
+    distinct orderings of a direction multiset (hats[j] occurring counts[j]
+    times).
+
+    Dynamic programming over sub-multisets: the chains of a sub-multiset are
+    the chains of each one-smaller sub-multiset with one more direction
+    appended, so no ordering is enumerated.
+    """
+    sums = {(0,) * len(counts): np.ones(3)}
+    for c in sorted(itertools.product(*(range(k + 1) for k in counts)), key=sum)[1:]:
+        total = 0.0
+        for j, cj in enumerate(c):
+            if cj:
+                total = total + sums[c[:j] + (cj - 1,) + c[j + 1:]][..., None] * hats[j]
+        sums[c] = total
+    return sums[tuple(counts)]
+
+
 @dataclass(frozen=True, eq=False)
 class SpectralDerivative:
     """The n-th derivative of f at A, normalised by 1/n!.
 
-    Stored as the spectrum (projector basis) plus the symmetric coefficient
-    table; never densely.  Contracting with n direction tensors yields the
-    degree-n term of the expansion of f(A + X).
+    Stored as the spectrum (eigenframe and projectors) plus the symmetric
+    coefficient table; never densely.  Contracting with n direction tensors
+    yields the degree-n term of the expansion of f(A + X).
     """
 
     order: int
@@ -47,37 +72,29 @@ class SpectralDerivative:
     def contract(self, xs: Sequence) -> SymTensor:
         """Contraction with n directions, as a totally symmetric multilinear map.
 
-        The interleaved sum of coeff * A_{i1} X1 A_{i2} X2 ... Xn A_{i_{n+1}}
-        over all index tuples pins the derivative down only on equal
-        directions; mixed directions are averaged over the orderings of the
-        direction list (polarisation), which is exactly the identity map when
-        all directions coincide.
+        The path sum pins the derivative down only on equal directions; mixed
+        directions are averaged over the distinct orderings of the direction
+        list, which is exactly the identity map when all directions coincide.
         """
         xs = [_as_matrix(x) for x in xs]
-        if len(xs) != self.order:
-            raise ValueError(f"need {self.order} directions, got {len(xs)}")
-        projs = [p.matrix for p in self.spectrum.projectors]
-
-        keys = [x.tobytes() for x in xs]
-        seen = set()
-        arrangements = []
-        for perm in itertools.permutations(range(self.order)):
-            key = tuple(keys[i] for i in perm)
-            if key not in seen:
-                seen.add(key)
-                arrangements.append([xs[i] for i in perm])
-
-        acc = np.zeros((3, 3))
-        for idx in itertools.product(range(self.spectrum.d), repeat=self.order + 1):
-            c = self.coeffs.get(idx)
-            if c == 0.0:
-                continue
-            for ordered in arrangements:
-                m = projs[idx[0]]
-                for x, i in zip(ordered, idx[1:]):
-                    m = m @ x @ projs[i]
-                acc += c * m
-        return SymTensor.sym_part(acc / len(arrangements))
+        n = self.order
+        if len(xs) != n:
+            raise ValueError(f"need {n} directions, got {len(xs)}")
+        s = self.spectrum
+        v = s.frame
+        slots: dict[bytes, int] = {}
+        hats: list[np.ndarray] = []
+        counts: list[int] = []
+        for x in xs:
+            j = slots.setdefault(x.tobytes(), len(hats))
+            if j == len(hats):
+                hats.append(v.T @ x @ v)
+                counts.append(0)
+            counts[j] += 1
+        chains = _ordered_chains(hats, counts)
+        paths = (self.coeffs.expand(s.labels) * chains).reshape(3, -1, 3).sum(axis=1)
+        orderings = math.factorial(n) // math.prod(math.factorial(c) for c in counts)
+        return SymTensor.sym_part(v @ paths @ v.T / orderings)
 
     def as_box_sum(self) -> BoxSum:
         """Expand into a weighted sum of projector box products."""
@@ -93,14 +110,8 @@ class SpectralDerivative:
         """First-derivative view as an order-4 tensor (gradient map)."""
         if self.order != 1:
             raise ValueError("only the first derivative is a fourth-order tensor")
-        projs = [p.matrix for p in self.spectrum.projectors]
-        terms = []
-        for i in range(self.spectrum.d):
-            for j in range(self.spectrum.d):
-                c = self.coeffs.get((i, j))
-                if c != 0.0:
-                    terms.append((c, BoxProduct(projs[i], projs[j])))
-        return FourthTensor(terms)
+        mult = self.coeffs.expand(self.spectrum.labels)
+        return CoaxialMap(self.spectrum, mult).as_fourth_tensor()
 
 
 def derivative(f: ScalarFn, a: SymTensor, n: int,
@@ -111,11 +122,6 @@ def derivative(f: ScalarFn, a: SymTensor, n: int,
         raise ValueError("derivative order must be at least 1")
     s = decompose(a, cluster_tol)
     return SpectralDerivative(order=n, spectrum=s, coeffs=build_table(f, s, n, method=method))
-
-
-def contract_dirs(dv: SpectralDerivative, xs: Sequence) -> SymTensor:
-    """Contract a spectral derivative with its direction tensors."""
-    return dv.contract(xs)
 
 
 def taylor_eval(f: ScalarFn, a: SymTensor, x: SymTensor, n: int,
@@ -136,38 +142,53 @@ def taylor_eval(f: ScalarFn, a: SymTensor, x: SymTensor, n: int,
     return out
 
 
-def _grad4(f: ScalarFn, s: Spectrum) -> FourthTensor:
-    return SpectralDerivative(1, s, build_table(f, s, 1)).as_fourth_tensor()
+def _gradient_multiplier(f: ScalarFn, x, merge: float = 0.0) -> np.ndarray:
+    """First divided differences of f on the nodes x, as a square matrix.
+
+    Off the diagonal (f(x_i) - f(x_j)) / (x_i - x_j); nodes at most ``merge``
+    apart (the diagonal always) take the mean slope instead.
+    """
+    x = np.asarray(x, dtype=float)
+    fx = np.array([f.deriv(0, float(t)) for t in x])
+    slope = np.array([f.deriv(1, float(t)) for t in x])
+    gap = x[:, None] - x[None, :]
+    close = np.abs(gap) <= merge
+    return np.where(close, 0.5 * (slope[:, None] + slope[None, :]),
+                    (fx[:, None] - fx[None, :]) / np.where(close, 1.0, gap))
 
 
 def grad_product_rule(f: ScalarFn, g: ScalarFn, a: SymTensor,
-                      cluster_tol: float = DEFAULT_CLUSTER_TOL) -> FourthTensor:
+                      cluster_tol: float = DEFAULT_CLUSTER_TOL) -> CoaxialMap:
     """Gradient of the pointwise product: (I x g(A)) grad f + (f(A) x I) grad g."""
     s = decompose(a, cluster_tol)
-    fa = apply_fn(s, f)
-    ga = apply_fn(s, g)
-    eye = np.eye(3)
-    left = FourthTensor.box(eye, ga).compose(_grad4(f, s))
-    right = FourthTensor.box(fa, eye).compose(_grad4(g, s))
-    return left + right
+    fv = np.array([f.deriv(0, float(t)) for t in s.alphas])
+    gv = np.array([g.deriv(0, float(t)) for t in s.alphas])
+    mult = (_gradient_multiplier(f, s.alphas) * gv[None, :]
+            + fv[:, None] * _gradient_multiplier(g, s.alphas))
+    return CoaxialMap.from_clusters(s, mult)
 
 
 def grad_reciprocal(f: ScalarFn, a: SymTensor,
-                    cluster_tol: float = DEFAULT_CLUSTER_TOL) -> FourthTensor:
+                    cluster_tol: float = DEFAULT_CLUSTER_TOL) -> CoaxialMap:
     """Gradient of 1/f: -[f(A)^-1 x f(A)^-1] grad f."""
     s = decompose(a, cluster_tol)
-    vals = [f.deriv(0, alpha) for alpha in s.alphas]
-    scale = max(abs(v) for v in vals)
-    if any(abs(v) <= 1e-14 * max(1.0, scale) for v in vals):
+    vals = np.array([f.deriv(0, float(t)) for t in s.alphas])
+    scale = float(np.abs(vals).max())
+    if np.any(np.abs(vals) <= 1e-14 * max(1.0, scale)):
         raise DomainError("f vanishes at an eigenvalue; reciprocal gradient undefined")
-    finv = s.apply([1.0 / v for v in vals])
-    return -1.0 * FourthTensor.box(finv, finv).compose(_grad4(f, s))
+    mult = -_gradient_multiplier(f, s.alphas) / np.outer(vals, vals)
+    return CoaxialMap.from_clusters(s, mult)
 
 
 def grad_chain_rule(f: ScalarFn, g: ScalarFn, a: SymTensor,
-                    cluster_tol: float = DEFAULT_CLUSTER_TOL) -> FourthTensor:
-    """Gradient of the composition f(g(A)): grad f at g(A), composed with grad g."""
+                    cluster_tol: float = DEFAULT_CLUSTER_TOL) -> CoaxialMap:
+    """Gradient of the composition f(g(A)): grad f at g(A), composed with grad g.
+
+    g(A) shares A's eigenframe; values of g closer than the clustering gap
+    count as one eigenvalue of g(A), as decomposing g(A) would merge them.
+    """
     s = decompose(a, cluster_tol)
-    inner = apply_fn(s, g)
-    s_inner = decompose(inner, cluster_tol)
-    return _grad4(f, s_inner).compose(_grad4(g, s))
+    inner = np.array([g.deriv(0, float(t)) for t in s.alphas])
+    merge = cluster_tol * max(1.0, float(np.abs(inner).max()))
+    mult = _gradient_multiplier(f, inner, merge) * _gradient_multiplier(g, s.alphas)
+    return CoaxialMap.from_clusters(s, mult)

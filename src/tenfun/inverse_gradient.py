@@ -1,12 +1,13 @@
 """Inverse gradients of strain measures and the induced Sylvester solvers.
 
 For a strictly monotonic strain measure on a positive definite argument the
-gradient map is a positive definite fourth-order tensor; it diagonalises on
-the basis built from the eigenprojectors (squares and symmetrised pairs), so
-its inverse is obtained by inverting the scalar basis coefficients.  The same
-basis yields the commutator map J, its Moore-Penrose pseudo-inverse J*, the
-diagonal-block map K, and closed-form solutions of the tensor equations they
-generate.
+gradient map is a positive definite fourth-order tensor coaxial with A: in
+A's eigenframe it multiplies each entry by a positive first divided
+difference, so its inverse divides by the same numbers.  The commutator
+pseudo-inverse J*, the diagonal-block map K, the power-sum and quadrature
+forms and both Sylvester solvers are eigenframe multipliers too.  The
+commutator map J itself is built from A's matrix as a box sum, which keeps
+the J J* + K K* closure check independent of the frame.
 """
 from __future__ import annotations
 
@@ -14,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .derivatives import _gradient_multiplier
 from .errors import DomainError, NumericalError
-from .multilinear import BoxProduct, FourthTensor, _as_matrix
+from .multilinear import BoxProduct, CoaxialMap, FourthTensor, _as_matrix
 from .scalar_functions import ScalarFn
-from .spectral import DEFAULT_CLUSTER_TOL, Spectrum, SymTensor, apply_fn, decompose
+from .spectral import DEFAULT_CLUSTER_TOL, Spectrum, SymTensor, decompose
 
 __all__ = [
-    "FourthSpectralBasis",
-    "spectral_basis",
     "grad_spectral",
     "inverse_grad",
     "seth_hill_sum_form",
@@ -49,88 +49,60 @@ def _require_strain_measure(f: ScalarFn) -> None:
         raise DomainError(f"{f!r} is not a strain measure (need f(1)=0, f'(1)=1, f'>0)")
 
 
-@dataclass(frozen=True, eq=False)
-class FourthSpectralBasis:
-    """Orthogonal fourth-order basis built from the eigenprojectors of A.
-
-    The first d members are the projector squares A_i x A_i; the remaining
-    ones are the symmetrised pairs A_i x A_j + A_j x A_i for i < j, giving
-    D = d(d+1)/2 tensors that are idempotent, mutually annihilating and sum
-    to the fourth-order identity.
-    """
-
-    spectrum: Spectrum
-    pairs: tuple[tuple[int, int], ...]
-    tensors: tuple[FourthTensor, ...]
-
-    @classmethod
-    def from_spectrum(cls, s: Spectrum) -> "FourthSpectralBasis":
-        projs = [p.matrix for p in s.projectors]
-        pairs: list[tuple[int, int]] = [(i, i) for i in range(s.d)]
-        tensors: list[FourthTensor] = [FourthTensor.box(projs[i], projs[i])
-                                       for i in range(s.d)]
-        for i in range(s.d):
-            for j in range(i + 1, s.d):
-                pairs.append((i, j))
-                tensors.append(FourthTensor([(1.0, BoxProduct(projs[i], projs[j])),
-                                             (1.0, BoxProduct(projs[j], projs[i]))]))
-        return cls(spectrum=s, pairs=tuple(pairs), tensors=tuple(tensors))
-
-    @property
-    def size(self) -> int:
-        return len(self.tensors)
+def _commutator(m) -> FourthTensor:
+    """Commutator map X -> MX - XM as the box sum M x I - I x M."""
+    m, eye = _as_matrix(m), np.eye(3)
+    return FourthTensor([(1.0, BoxProduct(m, eye)), (-1.0, BoxProduct(eye, m))])
 
 
-def spectral_basis(s: Spectrum) -> FourthSpectralBasis:
-    return FourthSpectralBasis.from_spectrum(s)
+def _pair_inverse(values) -> np.ndarray:
+    """Cluster matrix 1/(v_i - v_j) off the diagonal, zero on it: the
+    multiplier of the commutator pseudo-inverse for cluster values v."""
+    v = np.asarray(values, dtype=float)
+    gap = v[:, None] - v[None, :]
+    off = ~np.eye(v.size, dtype=bool)
+    return np.divide(1.0, gap, out=np.zeros_like(gap), where=off)
 
 
-def _basis_coeffs(f: ScalarFn, s: Spectrum) -> list[float]:
-    """Gradient coefficients on the basis: f'(alpha_i) on squares, divided
-    differences on pairs."""
-    out = [f.deriv(1, float(a)) for a in s.alphas]
-    for i in range(s.d):
-        for j in range(i + 1, s.d):
-            ai, aj = float(s.alphas[i]), float(s.alphas[j])
-            out.append((f.deriv(0, ai) - f.deriv(0, aj)) / (ai - aj))
-    return out
-
-
-def _assemble(basis: FourthSpectralBasis, coeffs) -> FourthTensor:
-    terms = []
-    for c, t in zip(coeffs, basis.tensors):
-        for w, p in t.terms:
-            terms.append((float(c) * w, p))
-    return FourthTensor(terms)
-
-
-def grad_spectral(f: ScalarFn, s: Spectrum) -> FourthTensor:
-    """Gradient of a strain measure on a positive spectrum, on the projector basis."""
+def grad_spectral(f: ScalarFn, s: Spectrum) -> CoaxialMap:
+    """Gradient of a strain measure on a positive spectrum, as an eigenframe map."""
     _require_strain_measure(f)
     _require_positive(s, "the strain-measure gradient")
-    basis = FourthSpectralBasis.from_spectrum(s)
-    return _assemble(basis, _basis_coeffs(f, s))
+    return CoaxialMap.from_clusters(s, _gradient_multiplier(f, s.alphas))
 
 
-def inverse_grad(f: ScalarFn, s: Spectrum) -> FourthTensor:
+def inverse_grad(f: ScalarFn, s: Spectrum) -> CoaxialMap:
     """Inverse of the gradient map; composition with grad_spectral is the identity.
 
-    Requires every basis coefficient strictly positive, which strict
+    Requires every multiplier entry strictly positive, which strict
     monotonicity of f on a positive spectrum guarantees.
     """
     _require_strain_measure(f)
     _require_positive(s, "the inverse gradient")
-    coeffs = _basis_coeffs(f, s)
-    floor = 1e-14 * max(1.0, max(abs(c) for c in coeffs))
-    if any(c <= floor for c in coeffs):
-        raise DomainError(f"gradient is not invertible: basis coefficient <= {floor:g} "
+    mult = _gradient_multiplier(f, s.alphas)
+    floor = 1e-14 * max(1.0, float(np.abs(mult).max()))
+    if np.any(mult <= floor):
+        raise DomainError(f"gradient is not invertible: multiplier entry <= {floor:g} "
                           "(function not strictly monotonic on the spectrum)")
-    basis = FourthSpectralBasis.from_spectrum(s)
-    return _assemble(basis, [1.0 / c for c in coeffs])
+    return CoaxialMap.from_clusters(s, 1.0 / mult)
+
+
+def _power_products(s: Spectrum, weights, p: np.ndarray, q: np.ndarray) -> CoaxialMap:
+    """The map sum over k of w_k A^(p_k) x A^(q_k): multiplier entries
+    sum_k w_k alpha_i^p_k alpha_j^q_k on the cluster eigenvalues."""
+    al = s.alphas[:, None]
+    return CoaxialMap.from_clusters(s, (weights * al ** p) @ (al ** q).T)
+
+
+def _seth_hill_ks(m: int) -> np.ndarray:
+    """The k range of the Seth-Hill power sums: 1..m for m > 0, m+1..0 for m < 0."""
+    if m == 0:
+        raise ValueError("m = 0 has no power-sum form; use log_inverse_integral")
+    return np.arange(1, m + 1) if m > 0 else np.arange(m + 1, 1)
 
 
 def seth_hill_sum_form(m: int, a: SymTensor,
-                       cluster_tol: float = DEFAULT_CLUSTER_TOL) -> FourthTensor:
+                       cluster_tol: float = DEFAULT_CLUSTER_TOL) -> CoaxialMap:
     """Power-sum form of the Seth-Hill gradient for integer m != 0.
 
     For m > 0 this is (1/m) sum over k = 1..m of A^(m-k) x A^(k-1); for
@@ -138,35 +110,28 @@ def seth_hill_sum_form(m: int, a: SymTensor,
     measure (x^m - 1)/m.
     """
     m = int(m)
-    if m == 0:
-        raise ValueError("m = 0 has no power-sum form; use log_inverse_integral")
+    ks = _seth_hill_ks(m)
     s = decompose(a, cluster_tol)
     _require_positive(s, "the Seth-Hill power sum")
-    ks = range(1, m + 1) if m > 0 else range(m + 1, 1)
-    terms = [(1.0 / abs(m), BoxProduct(s.power(m - k), s.power(k - 1))) for k in ks]
-    return FourthTensor(terms)
+    return _power_products(s, 1.0 / abs(m), m - ks, ks - 1)
 
 
 def seth_hill_fractional_inverse(m: int, a: SymTensor,
-                                 cluster_tol: float = DEFAULT_CLUSTER_TOL) -> FourthTensor:
+                                 cluster_tol: float = DEFAULT_CLUSTER_TOL) -> CoaxialMap:
     """Power-sum form of the INVERSE gradient of the fractional measure 1/m.
 
     (1/|m|) sum of A^(1 - k/m) x A^((k-1)/m) over the same k range as the
-    integer sum; fractional powers are evaluated spectrally.
+    integer sum.
     """
     m = int(m)
-    if m == 0:
-        raise ValueError("m = 0 has no power-sum form; use log_inverse_integral")
+    ks = _seth_hill_ks(m)
     s = decompose(a, cluster_tol)
     _require_positive(s, "the fractional inverse power sum")
-    ks = range(1, m + 1) if m > 0 else range(m + 1, 1)
-    terms = [(1.0 / abs(m), BoxProduct(s.power(1.0 - k / m), s.power((k - 1.0) / m)))
-             for k in ks]
-    return FourthTensor(terms)
+    return _power_products(s, 1.0 / abs(m), 1.0 - ks / m, (ks - 1.0) / m)
 
 
 def log_inverse_integral(a: SymTensor, quad_points: int = 32,
-                         cluster_tol: float = DEFAULT_CLUSTER_TOL) -> FourthTensor:
+                         cluster_tol: float = DEFAULT_CLUSTER_TOL) -> CoaxialMap:
     """Inverse gradient of the logarithmic measure as a quadrature.
 
     Gauss-Legendre discretisation of the integral over x in [0, 1] of
@@ -178,59 +143,36 @@ def log_inverse_integral(a: SymTensor, quad_points: int = 32,
     s = decompose(a, cluster_tol)
     _require_positive(s, "the logarithmic inverse gradient")
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    terms = []
-    for t, w in zip(nodes, weights):
-        x = 0.5 * (t + 1.0)
-        terms.append((0.5 * w, BoxProduct(s.power(x), s.power(1.0 - x))))
-    return FourthTensor(terms)
-
-
-def _diag_tensor(values, projs) -> FourthTensor:
-    return FourthTensor([(float(v), BoxProduct(p, p)) for v, p in zip(values, projs)])
-
-
-def _pair_tensor(values, projs, invert: bool) -> FourthTensor:
-    """Sum over i != j of (v_i - v_j)^(+-1) P_i x P_j; vanishes for d = 1."""
-    terms = []
-    d = len(projs)
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            gap = values[i] - values[j]
-            terms.append((1.0 / gap if invert else gap, BoxProduct(projs[i], projs[j])))
-    return FourthTensor(terms, nfactors=2)
+    x = 0.5 * (nodes + 1.0)
+    return _power_products(s, 0.5 * weights, x, 1.0 - x)
 
 
 def j_tensor(a: SymTensor) -> FourthTensor:
     """Commutator map X -> AX - XA as a fourth-order tensor (A positive definite)."""
     s = decompose(a)
     _require_positive(s, "the commutator map")
-    eye = np.eye(3)
-    return FourthTensor([(1.0, BoxProduct(a, eye)), (-1.0, BoxProduct(eye, a))])
+    return _commutator(a)
 
 
-def j_pseudo(a: SymTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> FourthTensor:
+def j_pseudo(a: SymTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> CoaxialMap:
     """Moore-Penrose pseudo-inverse of the commutator map, in spectral form."""
     s = decompose(a, cluster_tol)
     _require_positive(s, "the commutator pseudo-inverse")
-    return _pair_tensor([float(x) for x in s.alphas],
-                        [p.matrix for p in s.projectors], invert=True)
+    return CoaxialMap.from_clusters(s, _pair_inverse(s.alphas))
 
 
-def k_tensor(a: SymTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> FourthTensor:
+def k_tensor(a: SymTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> CoaxialMap:
     """Diagonal-block map: sum of alpha_i A_i x A_i (A positive definite)."""
     s = decompose(a, cluster_tol)
     _require_positive(s, "the diagonal-block map")
-    return _diag_tensor([float(x) for x in s.alphas], [p.matrix for p in s.projectors])
+    return CoaxialMap.from_clusters(s, np.diag(s.alphas))
 
 
-def k_pseudo(a: SymTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> FourthTensor:
+def k_pseudo(a: SymTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> CoaxialMap:
     """Pseudo-inverse of the diagonal-block map: sum of alpha_i^-1 A_i x A_i."""
     s = decompose(a, cluster_tol)
     _require_positive(s, "the diagonal-block pseudo-inverse")
-    return _diag_tensor([1.0 / float(x) for x in s.alphas],
-                        [p.matrix for p in s.projectors])
+    return CoaxialMap.from_clusters(s, np.diag(1.0 / s.alphas))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,60 +193,45 @@ def sylvester_commutator(a: SymTensor, y,
     """Solve AX - XA = Y by the commutator pseudo-inverse.
 
     Y may be symmetric or skew (the solution has the opposite parity), given
-    as a SymTensor or a 3x3 array.  For an isotropic A (single eigenvalue)
-    the map vanishes and only Y = 0 is solvable.
+    as a SymTensor or a 3x3 array.  In the eigenframe each off-block entry of
+    Y is divided by its eigenvalue gap; the diagonal blocks are the
+    unreachable part.  For an isotropic A (single eigenvalue) the map
+    vanishes and only Y = 0 is solvable.
     """
     s = decompose(a, cluster_tol)
     _require_positive(s, "the commutator solver")
     ym = _as_matrix(y)
-    projs = [p.matrix for p in s.projectors]
-    if s.d == 1:
-        ynorm = float(np.linalg.norm(ym))
-        if ynorm > 1e-12 * max(1.0, a.norm()):
-            raise DomainError("A has a single eigenvalue: AX - XA vanishes identically, "
-                              f"but |Y| = {ynorm:.3e}")
-        return CommutatorSolution(solution=np.zeros((3, 3)), null_norm=ynorm)
-    x = np.zeros((3, 3))
-    null = np.zeros((3, 3))
-    for i in range(s.d):
-        null += projs[i] @ ym @ projs[i]
-        for j in range(s.d):
-            if i != j:
-                x += (projs[i] @ ym @ projs[j]) / (float(s.alphas[i]) - float(s.alphas[j]))
-    return CommutatorSolution(solution=x, null_norm=float(np.linalg.norm(null)))
+    null_norm = float(np.linalg.norm(CoaxialMap.from_clusters(s, np.eye(s.d)).apply(ym)))
+    if s.d == 1 and null_norm > 1e-12 * max(1.0, a.norm()):
+        raise DomainError("A has a single eigenvalue: AX - XA vanishes identically, "
+                          f"but |Y| = {null_norm:.3e}")
+    x = CoaxialMap.from_clusters(s, _pair_inverse(s.alphas)).apply(ym)
+    return CommutatorSolution(solution=x, null_norm=null_norm)
 
 
 def sylvester_power(m: int, a: SymTensor, c,
                     cluster_tol: float = DEFAULT_CLUSTER_TOL) -> SymTensor:
     """Solve sum over k = 1..m of A^(m-k) X A^(k-1) = C for X.
 
-    The solution weights each projector block of C by
-    (alpha_i - alpha_j)/(alpha_i^m - alpha_j^m), with the confluent value
-    1/(m alpha^(m-1)) on the diagonal; positive definiteness of A keeps every
-    denominator away from zero.
+    In the eigenframe the left-hand side multiplies X elementwise by
+    sum_k alpha_i^(m-k) alpha_j^(k-1), which is (alpha_i^m - alpha_j^m) /
+    (alpha_i - alpha_j) off the diagonal blocks and m alpha^(m-1) on them,
+    so the solution divides C by it; positive definiteness of A keeps every
+    entry away from zero.
     """
     m = int(m)
     if m < 1:
         raise ValueError("the power-sum equation needs a positive integer m")
     s = decompose(a, cluster_tol)
     _require_positive(s, "the power-sum solver")
-    cm = _as_matrix(c)
-    projs = [p.matrix for p in s.projectors]
-    x = np.zeros((3, 3))
-    for i in range(s.d):
-        for j in range(s.d):
-            ai, aj = float(s.alphas[i]), float(s.alphas[j])
-            if i == j:
-                w = 1.0 / (m * ai ** (m - 1))
-            else:
-                w = (ai - aj) / (ai ** m - aj ** m)
-            x += w * (projs[i] @ cm @ projs[j])
-    return SymTensor.sym_part(x)
+    ks = _seth_hill_ks(m)
+    lhs = _power_products(s, 1.0, m - ks, ks - 1)
+    return SymTensor.sym_part(CoaxialMap(s, 1.0 / lhs.multiplier).apply(c))
 
 
 def jk_decomposition(f: ScalarFn, a: SymTensor,
                      cluster_tol: float = DEFAULT_CLUSTER_TOL
-                     ) -> tuple[FourthTensor, FourthTensor]:
+                     ) -> tuple[CoaxialMap, CoaxialMap]:
     """Split the gradient and its inverse into diagonal-block and pair parts.
 
     Returns (grad, inverse) assembled as
@@ -314,32 +241,25 @@ def jk_decomposition(f: ScalarFn, a: SymTensor,
 
     where K acts on f'(A) through the projector resolution of A (the
     continuous extension when f' happens to merge eigenvalues).  The identity
-    J J* + K K* = fourth-order identity is verified internally.
+    J J* + K K* = fourth-order identity is verified internally, with J built
+    from A's matrix as a box sum.
     """
     _require_strain_measure(f)
     s = decompose(a, cluster_tol)
     _require_positive(s, "the J/K decomposition")
-    projs = [p.matrix for p in s.projectors]
-    alphas = [float(x) for x in s.alphas]
-    fp = [f.deriv(1, x) for x in alphas]
-    fv = [f.deriv(0, x) for x in alphas]
-    fa = apply_fn(s, f)
-    eye = np.eye(3)
-
-    j_of_a = FourthTensor([(1.0, BoxProduct(a, eye)), (-1.0, BoxProduct(eye, a))])
-    j_of_fa = FourthTensor([(1.0, BoxProduct(fa, eye)), (-1.0, BoxProduct(eye, fa))])
-    jstar_of_a = _pair_tensor(alphas, projs, invert=True)
-    jstar_of_fa = _pair_tensor(fv, projs, invert=True)
-
-    grad = _diag_tensor(fp, projs) + jstar_of_a.compose(j_of_fa)
-    inv = _diag_tensor([1.0 / v for v in fp], projs) + j_of_a.compose(jstar_of_fa)
+    fv = np.array([f.deriv(0, float(x)) for x in s.alphas])
+    fp = np.array([f.deriv(1, float(x)) for x in s.alphas])
+    jstar_of_a = _pair_inverse(s.alphas)
+    grad = np.diag(fp) + jstar_of_a * (fv[:, None] - fv[None, :])
+    inv = np.diag(1.0 / fp) + (s.alphas[:, None] - s.alphas[None, :]) * _pair_inverse(fv)
 
     # internal consistency: J J* + K K* must be the fourth-order identity
     # (tolerance leaves headroom for spectra near the clustering threshold,
     # where projector roundoff scales like eps over the eigenvalue gap)
-    kkstar = _diag_tensor([1.0] * s.d, projs)
-    closure = j_of_a.compose(jstar_of_a) + kkstar
+    kkstar = CoaxialMap.from_clusters(s, np.eye(s.d)).as_fourth_tensor()
+    jstar = CoaxialMap.from_clusters(s, jstar_of_a).as_fourth_tensor()
+    closure = _commutator(a).compose(jstar) + kkstar
     resid = float(np.abs(closure.dense() - FourthTensor.identity().dense()).max())
     if resid > 1e-8:
         raise NumericalError(f"J J* + K K* deviates from the identity by {resid:.3e}")
-    return grad, inv
+    return CoaxialMap.from_clusters(s, grad), CoaxialMap.from_clusters(s, inv)

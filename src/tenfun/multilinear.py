@@ -1,11 +1,13 @@
-"""Box (Kronecker square) products of second-order tensors and their sums.
+"""Fourth- and higher-order tensors: eigenframe maps and box-product sums.
 
-A box product of k factors is an order-2k tensor acting on k-1 second-order
-tensors by interleaved multiplication: (A x B x ... x C) : X Y ... Z =
-A X B^t Y ... Z C^t.  Weighted sums of box products are closed under
-composition via (A x B)(X x Y) = (AX) x (BY), applied factorwise, so
-higher-order tensors are never stored densely inside the core; dense
-component arrays are an export-boundary feature only.
+Every fourth-order map the package builds on A is coaxial with A and is
+held as a CoaxialMap: a 3x3 multiplier applied elementwise in A's
+eigenframe.  Generic box products serve dense export and the independent
+verification routes.  A box product of k factors is an order-2k tensor
+acting on k-1 second-order tensors by interleaved multiplication:
+(A x B x ... x C) : X Y ... Z = A X B^t Y ... Z C^t.  Weighted sums of box
+products are closed under composition via (A x B)(X x Y) = (AX) x (BY),
+applied factorwise.
 
 Dense layout: for k factors the component array has 2k axes ordered
 (i, j, k1, l1, ..., k_{k-1}, l_{k-1}) where (i, j) indexes the output and
@@ -15,10 +17,13 @@ each (k_m, l_m) pair contracts with the m-th argument, so that for k = 2
 from __future__ import annotations
 
 import string
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoxProduct", "BoxSum", "FourthTensor", "contract", "compose4", "dense_components"]
+from .spectral import Spectrum
+
+__all__ = ["BoxProduct", "BoxSum", "FourthTensor", "CoaxialMap"]
 
 
 def _as_matrix(x) -> np.ndarray:
@@ -86,9 +91,7 @@ class BoxProduct:
 class BoxSum:
     """Weighted sum of box products of uniform arity.
 
-    Supports addition, scalar multiplication, composition and contraction;
-    this factored representation is the canonical one for every tensor of
-    order four and above in the package.
+    Supports addition, scalar multiplication, composition and contraction.
     """
 
     __slots__ = ("nfactors", "terms")
@@ -196,16 +199,45 @@ class FourthTensor(BoxSum):
         return cls.box(np.eye(3), np.eye(3))
 
 
-def contract(b: BoxProduct | BoxSum, xs) -> np.ndarray:
-    """Contract a box product (or sum) against second-order tensors."""
-    return b.contract(xs)
+@dataclass(frozen=True, eq=False)
+class CoaxialMap:
+    """Fourth-order map coaxial with A, in the eigenframe of its spectrum.
 
+    With V the spectrum's frame and G a 3x3 multiplier the map is
+    X -> V (G o V^t X V) V^t, where o is the elementwise product.  G is
+    constant on each block of frame columns that share a cluster, so the
+    map does not depend on the choice of eigenvectors inside a merged
+    cluster.  Composition multiplies the multipliers elementwise.
+    """
 
-def compose4(p: BoxSum, q: BoxSum) -> BoxSum:
-    """Composition of fourth-order tensors: (p compose4 q) X = p(q(X))."""
-    return p.compose(q)
+    spectrum: Spectrum
+    multiplier: np.ndarray
 
+    @classmethod
+    def from_clusters(cls, s: Spectrum, g) -> "CoaxialMap":
+        """Map whose multiplier is the d x d cluster matrix g, spread over the frame."""
+        g = np.asarray(g, dtype=float)
+        return cls(s, g[np.ix_(s.labels, s.labels)])
 
-def dense_components(t: BoxProduct | BoxSum) -> np.ndarray:
-    """Dense Cartesian component array (export boundary; see module docstring)."""
-    return t.dense()
+    def apply(self, x) -> np.ndarray:
+        v = self.spectrum.frame
+        return v @ (self.multiplier * (v.T @ _as_matrix(x) @ v)) @ v.T
+
+    def compose(self, other: "CoaxialMap") -> "CoaxialMap":
+        """Composition acting as self after other; both must share a frame."""
+        if not np.array_equal(self.spectrum.frame, other.spectrum.frame):
+            raise ValueError("coaxial maps compose only in a shared eigenframe")
+        return CoaxialMap(self.spectrum, self.multiplier * other.multiplier)
+
+    def dense(self) -> np.ndarray:
+        v = self.spectrum.frame
+        return np.einsum("ia,ka,jb,lb,ab->ijkl", v, v, v, v, self.multiplier)
+
+    def as_fourth_tensor(self) -> FourthTensor:
+        """Export as the weighted sum of projector box products A_i x A_j."""
+        s = self.spectrum
+        first = np.unique(s.labels, return_index=True)[1]
+        g = self.multiplier[np.ix_(first, first)]
+        projs = [p.matrix for p in s.projectors]
+        return FourthTensor([(g[i, j], BoxProduct(projs[i], projs[j]))
+                             for i in range(s.d) for j in range(s.d) if g[i, j] != 0.0])

@@ -23,7 +23,6 @@ __all__ = [
     "CallbackFn",
     "StrainMeasureFn",
     "seth_hill",
-    "eval_deriv",
     "parse_fn_spec",
 ]
 
@@ -238,11 +237,6 @@ class StrainMeasureFn(ScalarFn):
 
     def __repr__(self):
         return f"StrainMeasureFn({self.fn!r})"
-
-
-def eval_deriv(f: ScalarFn, l: int, x: float) -> float:
-    """Exact l-th derivative of f at x (analytic, up to rounding)."""
-    return f.deriv(l, x)
 
 
 def parse_fn_spec(spec: str) -> ScalarFn:

@@ -19,8 +19,10 @@ __all__ = ["DEFAULT_CLUSTER_TOL", "SymTensor", "Spectrum", "decompose", "apply_f
 DEFAULT_CLUSTER_TOL = 1e-7
 
 # storage order of the six unique components
-_ROWS = (0, 1, 2, 0, 0, 1)
-_COLS = (0, 1, 2, 1, 2, 2)
+_ROWS = np.array([0, 1, 2, 0, 0, 1])
+_COLS = np.array([0, 1, 2, 1, 2, 2])
+# the stored component behind each entry of the full matrix, row-major
+_FULL = np.array([0, 3, 4, 3, 1, 5, 4, 5, 2])
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,14 +58,14 @@ class SymTensor:
         if skew > tol * scale:
             raise ValueError(f"matrix is not symmetric: max |A - A^t| = {skew:.3e}")
         sym = 0.5 * (m + m.T)
-        return cls(sym[list(_ROWS), list(_COLS)])
+        return cls(sym[_ROWS, _COLS])
 
     @classmethod
     def sym_part(cls, m) -> "SymTensor":
         """Symmetric part (M + M^t)/2 of an arbitrary 3x3 array."""
         m = np.asarray(m, dtype=float)
         sym = 0.5 * (m + m.T)
-        return cls(sym[list(_ROWS), list(_COLS)])
+        return cls(sym[_ROWS, _COLS])
 
     @classmethod
     def identity(cls) -> "SymTensor":
@@ -80,10 +82,7 @@ class SymTensor:
     @property
     def matrix(self) -> np.ndarray:
         """Full 3x3 array."""
-        m = np.empty((3, 3))
-        m[list(_ROWS), list(_COLS)] = self.components
-        m[list(_COLS), list(_ROWS)] = self.components
-        return m
+        return self.components[_FULL].reshape(3, 3)
 
     def norm(self) -> float:
         """Frobenius norm."""
@@ -114,13 +113,18 @@ class Spectrum:
     ``d`` is the eigen-index (number of distinct eigenvalues after
     clustering), ``alphas`` the strictly increasing eigenvalues and
     ``projectors`` the matching orthogonal eigenprojectors, which are
-    idempotent, mutually annihilating, and sum to the identity.
+    idempotent, mutually annihilating, and sum to the identity.  ``frame``
+    holds orthonormal eigenvectors as columns (the identity when d = 1) and
+    ``labels`` the cluster of each column, so that projector i is the sum of
+    v v^t over the columns labelled i.
     """
 
     d: int
     alphas: np.ndarray
     projectors: tuple[SymTensor, ...]
     positive: bool
+    frame: np.ndarray
+    labels: tuple[int, ...]
 
     def reconstruct(self) -> SymTensor:
         """Reassemble the source tensor from eigenvalues and projectors."""
@@ -160,7 +164,8 @@ def decompose(a: SymTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectru
     of basis inside a degenerate cluster (and under eigenvector signs), so
     the decomposition is deterministic and the projectors stay orthogonal and
     idempotent to machine precision even for merged clusters with genuine
-    spread.
+    spread.  The eigenvector frame is kept alongside; when d = 1 it is the
+    identity, so maps built in the frame stay exact on isotropic tensors.
     """
     m = a.matrix
     try:
@@ -180,11 +185,14 @@ def decompose(a: SymTensor, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> Spectru
 
     alphas = np.array([float(raw[g].mean()) for g in groups])
     d = alphas.size
+    labels = tuple(i for i, g in enumerate(groups) for _ in range(g.stop - g.start))
     if d == 1:
         projectors = (SymTensor.identity(),)
+        vecs = np.eye(3)
     else:
         projectors = tuple(SymTensor.sym_part(vecs[:, g] @ vecs[:, g].T) for g in groups)
-    return Spectrum(d=d, alphas=alphas, projectors=projectors, positive=bool(alphas[0] > 0))
+    return Spectrum(d=d, alphas=alphas, projectors=projectors, positive=bool(alphas[0] > 0),
+                    frame=vecs, labels=labels)
 
 
 def apply_fn(s: Spectrum, f) -> SymTensor:

@@ -306,11 +306,11 @@ def test_criterion_10_sylvester_solvers():
     ident = dense_identity4()
     for _ in range(10):
         a = rand_psym(rng)
-        j, jstar = j_tensor(a), j_pseudo(a)
+        j, jstar = j_tensor(a), j_pseudo(a).as_fourth_tensor()
         ok = ok and np.abs(j.compose(jstar).compose(j).dense() - j.dense()).max() <= 1e-10
         ok = ok and np.abs(jstar.compose(j).compose(jstar).dense()
                            - jstar.dense()).max() <= 1e-10
-        closure = j.compose(jstar) + k_tensor(a).compose(k_pseudo(a))
+        closure = j.compose(jstar) + k_tensor(a).compose(k_pseudo(a)).as_fourth_tensor()
         ok = ok and np.abs(closure.dense() - ident).max() <= 1e-10
     report(10, f"sylvester solvers and pseudo-inverse relations (worst {worst:.2e})", ok)
 

@@ -227,3 +227,47 @@ def test_document_parser_rejects_bad_lines():
         parse_document("matrix = [[1, 'a']]\n")
     doc = parse_document("# comment\n\nkey = 3\nother = tok_en\narr = [1, 2.5]\n")
     assert doc == {"key": 3, "other": "tok_en", "arr": [1, 2.5]}
+
+
+@pytest.mark.parametrize("m", [0, -2])
+def test_power_equation_rejects_non_positive_m(tmp_path, capsys, m):
+    code, _, err = run_cli(tmp_path, capsys,
+                           "command = solve\n"
+                           f"m = {m}\n"
+                           "matrix = [[1,0,0],[0,2,0],[0,0,3]]\n"
+                           "rhs = [[2,3,0],[3,8,0],[0,0,6]]\n")
+    assert code == EXIT_PARSE
+    assert "m >= 1" in err
+
+
+def test_non_numeric_tol_rejected(tmp_path, capsys):
+    code, _, err = run_cli(tmp_path, capsys,
+                           "command = eval\n"
+                           "fn = exp\n"
+                           "tol = abc\n"
+                           "matrix = [[1,0,0],[0,2,0],[0,0,3]]\n")
+    assert code == EXIT_PARSE
+    assert "tol" in err
+
+
+@pytest.mark.parametrize("value,exported", [("false", False), ("0", False),
+                                            ("true", True), ("1", True)])
+def test_dense_flag_values(tmp_path, capsys, value, exported):
+    code, out, _ = run_cli(tmp_path, capsys,
+                           "command = grad\n"
+                           "fn = exp\n"
+                           "order = 1\n"
+                           f"dense = {value}\n"
+                           "matrix = [[2,0,0],[0,3,0],[0,0,5]]\n")
+    assert code == EXIT_OK
+    assert ("dense" in parse_document(out)) == exported
+
+
+def test_dense_flag_rejects_other_values(tmp_path, capsys):
+    code, _, err = run_cli(tmp_path, capsys,
+                           "command = grad\n"
+                           "fn = exp\n"
+                           "dense = yes\n"
+                           "matrix = [[2,0,0],[0,3,0],[0,0,5]]\n")
+    assert code == EXIT_PARSE
+    assert "dense" in err

@@ -9,7 +9,6 @@ from tenfun import (
     Polynomial,
     SymTensor,
     apply_fn,
-    contract_dirs,
     decompose,
     derivative,
     expand_monomial,
@@ -270,9 +269,3 @@ def test_finite_difference_cross_check(n):
     got = finite_diff_derivative(Exp(), a, xs, n)
     assert np.abs(got - want).max() <= 1e-5 * max(1.0, np.abs(want).max())
 
-
-def test_contract_dirs_module_function():
-    rng = np.random.default_rng(83)
-    a, x = rand_sym(rng), rand_sym(rng)
-    dv = derivative(Exp(), a, 1)
-    assert (contract_dirs(dv, [x]) - dv.contract([x])).norm() == 0.0

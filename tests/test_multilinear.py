@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tenfun import BoxProduct, BoxSum, FourthTensor, SymTensor, compose4, contract, dense_components
+from tenfun import BoxProduct, BoxSum, FourthTensor, SymTensor
 
 from helpers import rand_sym
 
@@ -63,7 +63,7 @@ def test_compose_with_identity():
     rng = np.random.default_rng(25)
     p = FourthTensor([(0.7, (rand_sym(rng), rand_sym(rng))),
                       (-1.3, (rand_sym(rng), rand_sym(rng)))])
-    q = compose4(FourthTensor.identity(), p)
+    q = FourthTensor.identity().compose(p)
     x = rand_sym(rng)
     assert np.abs(q.apply(x) - p.apply(x)).max() <= 1e-13
 
@@ -102,7 +102,7 @@ def test_compose_associative():
 
 def test_dense_identity_components():
     eye = np.eye(3)
-    dense = dense_components(BoxProduct(eye, eye))
+    dense = BoxProduct(eye, eye).dense()
     want = np.einsum("ik,jl->ijkl", eye, eye)
     assert np.array_equal(dense, want)
 

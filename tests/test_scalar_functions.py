@@ -13,7 +13,6 @@ from tenfun import (
     Polynomial,
     Power,
     StrainMeasureFn,
-    eval_deriv,
     parse_fn_spec,
     seth_hill,
 )
@@ -23,16 +22,16 @@ from helpers import fd_scalar_derivative
 
 def test_seth_hill_quadratic_value():
     # (3**2 - 1)/2
-    assert eval_deriv(seth_hill(2), 0, 3.0) == pytest.approx(4.0, abs=1e-15)
+    assert seth_hill(2).deriv(0, 3.0) == pytest.approx(4.0, abs=1e-15)
 
 
 def test_exp_high_order_at_zero():
-    assert eval_deriv(Exp(), 5, 0.0) == 1.0
+    assert Exp().deriv(5, 0.0) == 1.0
 
 
 def test_monomial_third_derivative():
     # 7*6*5 * 2**4, frozen from the falling-factorial oracle
-    assert eval_deriv(Monomial(7), 3, 2.0) == pytest.approx(3360.0, rel=1e-15)
+    assert Monomial(7).deriv(3, 2.0) == pytest.approx(3360.0, rel=1e-15)
 
 
 def test_seth_hill_linear_and_log_limits():
